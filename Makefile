@@ -26,7 +26,7 @@ BENCH_GATE_PKGS = . ./internal/sim ./internal/trace ./internal/parallel ./cmd/do
 # by benchdiff -floor, which also fails if the benchmark vanishes.
 BENCH_FLOORS = -floor 'BenchmarkDominodIngestBinary:records/s=2565718'
 
-.PHONY: build vet fmt fmt-check test bench bench-json bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check ci
+.PHONY: build vet fmt fmt-check test perfbench-test bench bench-json bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check ci
 
 build:
 	$(GO) build ./...
@@ -44,6 +44,11 @@ fmt-check:
 
 test:
 	$(GO) test -race ./...
+
+# The benchmark harness is its own module (perfbench/go.mod), so
+# `go test ./...` at the root does not reach its tests.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # One iteration of every benchmark: regenerates every paper artifact
 # through the batch engine (sequential and parallel) as a smoke test.
@@ -119,4 +124,4 @@ examples-check:
 	$(GO) build ./examples/...
 	$(GO) vet ./examples/...
 
-ci: build vet fmt-check test bench bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check
+ci: build vet fmt-check test perfbench-test bench bench-diff dominod-smoke obs-smoke chaos-smoke fleet-smoke doclint mdcheck examples-check

@@ -1241,7 +1241,9 @@ func (s *server) handleWatermark(w http.ResponseWriter, r *http.Request) {
 	sess.mu.Lock()
 	acc, state := sess.accepted, sess.state
 	sess.mu.Unlock()
-	writeJSON(w, http.StatusOK, ingest.Watermark{Session: sess.id, Accepted: acc, State: state})
+	writeJSON(w, http.StatusOK, ingest.Watermark{
+		Session: sess.id, Accepted: acc, State: state, Ingesting: sess.ingesting.Load(),
+	})
 }
 
 // detachLocked finalizes a session's state, captures the summary and

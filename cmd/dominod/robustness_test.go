@@ -281,13 +281,15 @@ func TestResumableBinaryInterruptAndResend(t *testing.T) {
 	<-errc
 
 	var wm ingest.Watermark
+	// Wait until the torn upload has released the session: while it
+	// still holds it, Accepted may grow past what the resend dedups.
 	waitFor(t, "session suspended with progress", func() bool {
 		resp, err := http.Get(ts.URL + "/sessions/bres/watermark")
 		if err != nil || resp.StatusCode != http.StatusOK {
 			return false
 		}
 		mustDecode(t, resp, &wm)
-		return wm.State == "active" && wm.Accepted > 0
+		return wm.State == "active" && !wm.Ingesting && wm.Accepted > 0
 	})
 
 	// Binary clients cannot splice mid-stream: full resend at seq 0,

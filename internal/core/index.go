@@ -121,6 +121,7 @@ func newIndexedTrace(set *trace.Set, cfg DetectorConfig) *indexedTrace {
 	for _, p := range set.Packets {
 		ix.addPacket(p)
 	}
+	ix.reserveDCI(set.DCI)
 	for _, r := range set.DCI {
 		ix.addDCI(r)
 	}
@@ -202,6 +203,28 @@ func (ix *indexedTrace) addPacket(p trace.PacketRecord) {
 	ix.fwdCumHigh = appendCum32(ix.fwdCumHigh, ix.delayHigh(d))
 	ix.appAt[di] = append(ix.appAt[di], p.SentAt)
 	ix.appBytes[di] = append(ix.appBytes[di], p.Size)
+}
+
+// reserveDCI sizes the per-direction DCI series for the given records
+// so batch construction appends without regrowing.
+func (ix *indexedTrace) reserveDCI(recs []trace.DCIRecord) {
+	var n [2]int
+	for i := range recs {
+		n[dirIdx(recs[i].Dir)]++
+	}
+	for di, c := range n {
+		ix.dciAt[di] = make([]sim.Time, 0, c)
+		ix.dciOwn[di] = make([]int, 0, c)
+		ix.dciOther[di] = make([]int, 0, c)
+		ix.dciMCS[di] = make([]int, 0, c)
+		ix.dciTBS[di] = make([]int, 0, c)
+		ix.dciHARQ[di] = make([]bool, 0, c)
+		ix.dciULUse[di] = make([]bool, 0, c)
+		ix.dciCumOwn[di] = make([]int64, 0, c)
+		ix.dciCumOther[di] = make([]int64, 0, c)
+		ix.dciCumHARQ[di] = make([]int32, 0, c)
+		ix.dciCumULUse[di] = make([]int32, 0, c)
+	}
 }
 
 func (ix *indexedTrace) addDCI(r trace.DCIRecord) {

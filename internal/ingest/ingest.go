@@ -63,6 +63,9 @@ type Watermark struct {
 	Session  string `json:"session"`
 	Accepted int    `json:"accepted"`
 	State    string `json:"state"`
+	// Ingesting reports that an upload still holds the session, so
+	// Accepted may yet grow; a suspended session reports false.
+	Ingesting bool `json:"ingesting"`
 }
 
 // Options configures a Client.

@@ -80,8 +80,7 @@ type Client struct {
 
 	// Receive-side feedback accumulation.
 	pendingResults []gcc.PacketResult
-	highestSeqSeen uint64
-	seenSeqs       map[uint64]bool
+	seen           seqWindow
 
 	// Direction of travel of this client's outgoing packets through
 	// the 5G cell (UL for the local client, DL for the remote).
@@ -113,7 +112,6 @@ func NewClient(engine *sim.Engine, rng *sim.RNG, cfg ClientConfig, statsObs Stat
 		ctrl:      gcc.NewController(cfg.GCC, engine.Now()),
 		vbuf:      jitterbuffer.NewVideoBuffer(jitterbuffer.DefaultVideoConfig()),
 		abuf:      jitterbuffer.NewAudioBuffer(jitterbuffer.DefaultAudioConfig()),
-		seenSeqs:  make(map[uint64]bool),
 		statsObs:  statsObs,
 		packetObs: packetObs,
 	}
@@ -243,15 +241,49 @@ func (c *Client) Receive(p *netem.Packet) {
 	}
 
 	// Accumulate transport feedback for the peer's GCC.
-	if !c.seenSeqs[p.Seq] {
-		c.seenSeqs[p.Seq] = true
+	if c.seen.mark(p.Seq) {
 		c.pendingResults = append(c.pendingResults, gcc.PacketResult{
 			Seq: p.Seq, Size: p.Size, SentAt: p.SentAt, RecvAt: now,
 		})
-		if p.Seq > c.highestSeqSeen {
-			c.highestSeqSeen = p.Seq
-		}
 	}
+}
+
+// seqWindowSize is the span, in sequence numbers, of the receive-side
+// dedup window. RLC drops duplicate SDUs and the wired legs are FIFO,
+// so no duplicate reaches Receive in a full paper batch; the window is
+// a guard. A client receives at most ~460 packets/s in the paper cells
+// (T-Mobile 100 MHz TDD), so 4096 sequence numbers span about 9 s of
+// call.
+const seqWindowSize = 4096
+
+// seqWindow is a sliding bitset over the last seqWindowSize sequence
+// numbers: O(1) per packet and allocation-free. A sequence older than
+// the window counts as unseen. The zero value is an empty window.
+type seqWindow struct {
+	bits [seqWindowSize / 64]uint64
+	high uint64 // highest sequence marked; the window is (high-seqWindowSize, high]
+}
+
+// mark records seq and reports whether it was not already in the window.
+func (w *seqWindow) mark(seq uint64) bool {
+	if seq > w.high {
+		if seq-w.high >= seqWindowSize {
+			clear(w.bits[:])
+		} else {
+			for s := w.high + 1; s <= seq; s++ {
+				w.bits[s/64%uint64(len(w.bits))] &^= 1 << (s % 64)
+			}
+		}
+		w.high = seq
+	} else if w.high-seq >= seqWindowSize {
+		return true
+	}
+	word, bit := &w.bits[seq/64%uint64(len(w.bits))], uint64(1)<<(seq%64)
+	if *word&bit != 0 {
+		return false
+	}
+	*word |= bit
+	return true
 }
 
 // onFeedbackTick ships accumulated transport feedback to the peer.
@@ -261,15 +293,6 @@ func (c *Client) onFeedbackTick(now sim.Time) {
 	}
 	results := c.pendingResults
 	c.pendingResults = nil
-	// Trim the dedup set to bound memory (entries far below the
-	// highest seq can never recur: paths are FIFO).
-	if len(c.seenSeqs) > 4096 {
-		for s := range c.seenSeqs {
-			if s+4096 < c.highestSeqSeen {
-				delete(c.seenSeqs, s)
-			}
-		}
-	}
 	c.seq++
 	p := &netem.Packet{
 		Seq: c.seq, Kind: netem.KindRTCP,

@@ -64,8 +64,12 @@ func appendJSONString(dst []byte, s string) []byte {
 				dst = append(dst, '\\', 'r')
 			case '\t':
 				dst = append(dst, '\\', 't')
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
 			default:
-				// Control bytes other than \n, \r, \t, and the
+				// Control bytes other than \b, \f, \n, \r, \t, and the
 				// HTML-sensitive <, >, &.
 				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
 			}

@@ -212,6 +212,7 @@ func TestCodecEdgeValues(t *testing.T) {
 	strs := []string{
 		"", "plain", "with \"quotes\" and \\slashes\\",
 		"html <tags> & ampersands", "newline\ntab\tcr\r", "nul\x00bell\x07",
+		"backspace\b formfeed\f",
 		"unicode ✓ ☂ 日本語", "line sep \u2028 and \u2029 end",
 		"invalid \xff\xfe utf8", "trailing continuation \xc3",
 	}
